@@ -12,10 +12,10 @@ included) and peak RSS are measured afresh for every cell.
 
 * ``--trace 0`` cycles through the seed's sub-cells -- seeds derived
   from ``--seed``, so a run averages over several workload draws --
-  and reports the medians of ``cell_s`` (host seconds from
-  ``cluster.start()`` to the last job's completion), ``setup_s`` (host
-  seconds from spawning the process to a loaded cluster) and
-  ``peak_rss_mb``.
+  and reports the mean of ``cell_s`` (host seconds from
+  ``cluster.start()`` to the last job's completion) and the medians of
+  ``setup_s`` (host seconds from spawning the process to a loaded
+  cluster) and ``peak_rss_mb``.
 * ``--trace 1`` repeats the seed's first sub-cell, alternating an
   untraced process and one with every layer's entry points wrapped
   (``layers.py``), and reports per-layer counts (which must repeat
@@ -50,7 +50,7 @@ from layers import layer_metrics  # noqa: E402
 WORKLOADS = ("steady-hb", "shuffle-kill", "memscale-gated")
 
 #: distinct cells per seed; a long run starts over at the first
-SUBCELLS = 12
+SUBCELLS = 16
 #: a run measures at least this many cells, however short ``--seconds``
 MIN_CELLS = 3
 #: host seconds one cell process may take before it counts as failed
@@ -203,18 +203,29 @@ class Budget:
 
 
 def measure_end_to_end(run: Run, seconds: float) -> Dict[str, float]:
-    """Median figures over the sub-cells the run had time for."""
+    """Figures over the sub-cells the run had time for.
+
+    ``cell_s`` is the mean over the sub-cells, so a run reports what
+    its whole set of workload draws cost; ``setup_s`` and
+    ``peak_rss_mb`` are medians.
+    """
     samples: Dict[str, List[float]] = {name: [] for name in END_TO_END_UNITS}
     budget = Budget(seconds, MIN_CELLS)
     while budget.another():
-        figures = run.cell(run.attempted % SUBCELLS, trace=False)
+        index = run.attempted % SUBCELLS
+        figures = run.cell(index, trace=False)
         if figures is not None:
+            print(f"sub-cell {index}: cell_s {figures['cell_s']:.4f} "
+                  f"setup_s {figures['setup_s']:.4f}")
             for name in samples:
                 samples[name].append(figures[name])
     print(f"cells measured: {len(samples['cell_s'])}")
+    if not samples["cell_s"]:
+        return {}
     return {
-        name: statistics.median(values)
-        for name, values in samples.items() if values
+        "cell_s": statistics.mean(samples["cell_s"]),
+        "setup_s": statistics.median(samples["setup_s"]),
+        "peak_rss_mb": statistics.median(samples["peak_rss_mb"]),
     }
 
 

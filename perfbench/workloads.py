@@ -14,17 +14,27 @@ The study modules draw every job's class independently, so which
 classes a cell holds -- above all whether it holds one of the rare
 64-128 task ``huge`` jobs -- decides most of its cost, and that cost
 varied 18x between seeds of one memscale cell.  The benchmark
-therefore draws a *stratified* replay: the number of jobs of each
-class is fixed by the mix's weights (largest remainder), and the seed
-draws everything else through the program's own
-:class:`~repro.workloads.swim.SwimGenerator` -- task counts, sizes,
-footprints, the order of the jobs and their Poisson arrivals.
+therefore draws a *stratified* replay, so that a seed changes which
+jobs a cell holds but hardly what the cell costs:
+
+* the number of jobs of each class is fixed by the mix's weights
+  (largest remainder);
+* a class's task and reduce counts are the evenly spaced quantiles of
+  its ranges, dealt out to its jobs in an order the seed shuffles;
+* the gaps between arrivals are the evenly spaced quantiles of the
+  exponential distribution of the study's Poisson process, in an
+  order the seed shuffles.
+
+The seed draws everything else through the program's own
+:class:`~repro.workloads.swim.SwimGenerator` -- input sizes, parse
+rates, footprints, shuffle fractions -- and the order of the jobs.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Dict, List, Tuple
 
 
@@ -56,12 +66,21 @@ SHAPES: Dict[str, CellShape] = {
 }
 
 
+def _quantiles(values: range, count: int, stream) -> List[int]:
+    """``count`` evenly spaced quantiles of ``values``, shuffled."""
+    picked = [values[int((k + 0.5) / count * len(values))]
+              for k in range(count)]
+    stream.shuffle(picked)
+    return picked
+
+
 def stratified_jobs(rng, classes, num_jobs: int, mean_interarrival: float):
     """``num_jobs`` SWIM jobs whose class counts follow the weights.
 
     Each class draws its jobs from its own named stream of ``rng`` (an
-    :class:`~repro.sim.rng.RngRegistry`); a further stream shuffles the
-    jobs and draws their Poisson arrival offsets.
+    :class:`~repro.sim.rng.RngRegistry`), one job at a time from a copy
+    of the class narrowed to the job's task and reduce counts; a
+    further stream shuffles the jobs and their arrival gaps.
     """
     from repro.workloads.swim import SwimGenerator
 
@@ -75,14 +94,28 @@ def stratified_jobs(rng, classes, num_jobs: int, mean_interarrival: float):
         counts[i] += 1
     specs = []
     for cls, count in zip(classes, counts):
-        generator = SwimGenerator(rng.stream(f"swim.{cls.name}"), classes=[cls])
-        specs.extend(generator.generate_workload(count))
+        stream = rng.stream(f"swim.{cls.name}")
+        tasks = _quantiles(cls.num_tasks, count, stream)
+        reduces = _quantiles(
+            range(cls.num_reduces.start, cls.max_reduces + 1), count, stream
+        )
+        for k, (num_tasks, num_reduces) in enumerate(zip(tasks, reduces)):
+            job_class = replace(
+                cls, name=f"{cls.name}.{k}",
+                num_tasks=range(num_tasks, num_tasks + 1),
+                num_reduces=range(num_reduces, num_reduces + 1),
+            )
+            generator = SwimGenerator(stream, classes=[job_class])
+            specs.extend(generator.generate_workload(1))
     arrivals = rng.stream("swim.arrivals")
     arrivals.shuffle(specs)
+    gaps = [-mean_interarrival * math.log(1.0 - (k + 0.5) / num_jobs)
+            for k in range(num_jobs)]
+    arrivals.shuffle(gaps)
     clock = 0.0
-    for spec in specs:
+    for spec, gap in zip(specs, gaps):
         spec.submit_offset = clock
-        clock += arrivals.exponential(mean_interarrival)
+        clock += gap
     return specs
 
 
