@@ -190,8 +190,8 @@ class FaultInjector:
             self.stats.skipped += 1
             self._record(event, "skipped: unknown host")
             return
-        cache = kernel.vmm.page_cache
-        dropped = cache.shrink(int(cache.size * event.fraction))
+        vmm = kernel.vmm
+        dropped = vmm.drop_cache(int(vmm.page_cache.size * event.fraction))
         self.stats.corruptions += 1
         detail = f"dropped {dropped} cached bytes"
         if event.fail_running:

@@ -69,13 +69,19 @@ class NodeKernel:
         self.config = config or NodeConfig()
         self.cpu = CpuResource(sim, self.config.cores, name=f"{self.config.hostname}.cpu")
         self.disk = DiskDevice(sim, self.config, name=f"{self.config.hostname}.disk")
+        #: every process ever spawned, dead ones included (history)
+        self._processes: Dict[int, OSProcess] = {}
+        #: the processes that are not dead, in spawn order: one joins at
+        #: :meth:`spawn` and leaves at its DEAD transition
+        #: (:meth:`note_process_died`), so memory accounting walks the
+        #: node's live set instead of its whole history
+        self._live: Dict[int, OSProcess] = {}
         self.vmm = VirtualMemoryManager(
             self.config,
             self.disk,
-            live_processes=self.live_processes,
+            live_processes=self._live.values,
             now=SimClock(sim),
         )
-        self._processes: Dict[int, OSProcess] = {}
         self._next_pid = 1000
         self.signals_sent = 0
         #: processes reaped by the OOM killer (RAM + swap exhausted)
@@ -90,12 +96,12 @@ class NodeKernel:
 
     def live_processes(self) -> List[OSProcess]:
         """All processes that are not dead."""
-        return [proc for proc in self._processes.values() if proc.alive]
+        return list(self._live.values())
 
     def process(self, pid: int) -> OSProcess:
         """Look up a live process by pid."""
-        proc = self._processes.get(pid)
-        if proc is None or not proc.alive:
+        proc = self._live.get(pid)
+        if proc is None:
             raise NoSuchProcessError(f"no such process: pid {pid}")
         return proc
 
@@ -105,6 +111,8 @@ class NodeKernel:
         self._next_pid += 1
         proc = OSProcess(self, pid, name)
         self._processes[pid] = proc
+        self._live[pid] = proc
+        self.vmm.invalidate_headroom()
         self.trace("os.spawn", pid=pid, name=name)
         return proc
 
@@ -143,11 +151,19 @@ class NodeKernel:
 
     def note_process_stopped(self, proc: OSProcess) -> None:
         """Bookkeeping hook invoked when a process enters STOPPED."""
+        self.vmm.invalidate_headroom()
         self.trace("os.stopped", pid=proc.pid, name=proc.name)
 
     def note_process_resumed(self, proc: OSProcess) -> None:
         """Bookkeeping hook invoked when a process leaves STOPPED."""
+        self.vmm.invalidate_headroom()
         self.trace("os.resumed", pid=proc.pid, name=proc.name)
+
+    def note_process_died(self, proc: OSProcess) -> None:
+        """Bookkeeping hook invoked at a process's DEAD transition:
+        it leaves the live set (``_processes`` keeps it)."""
+        del self._live[proc.pid]
+        self.vmm.invalidate_headroom()
 
     # -- device speed ---------------------------------------------------------
 
@@ -188,6 +204,7 @@ class NodeKernel:
             step = min(chunk, remaining)
             reclaim = self.vmm.make_room(proc, step)
             proc.image.allocate(step, dirty=dirty, now=self.sim.now)
+            self.vmm.invalidate_headroom()
             reclaim_io += reclaim.time_cost
             swapped_total += reclaim.swapped_out
             cache_freed += reclaim.freed_from_cache
@@ -212,6 +229,7 @@ class NodeKernel:
     def release_memory(self, proc: OSProcess, nbytes: int) -> int:
         """Free part of a process's image (GC returning heap to the OS)."""
         freed = proc.image.free(nbytes, self.sim.now)
+        self.vmm.invalidate_headroom()
         self.trace("os.free", pid=proc.pid, freed=freed)
         return freed
 
@@ -253,7 +271,7 @@ class NodeKernel:
 
     def stopped_processes(self) -> List[OSProcess]:
         """All processes currently in the STOPPED state."""
-        return [p for p in self.live_processes() if p.state is ProcessState.STOPPED]
+        return [p for p in self._live.values() if p.state is ProcessState.STOPPED]
 
     def trace(self, label: str, **fields) -> None:
         """Record a trace event tagged with this node's hostname."""

@@ -201,6 +201,7 @@ class OSProcess:
         if self.state is ProcessState.STOPPED and self.stopped_at is not None:
             self.stopped_seconds += self.kernel.sim.now - self.stopped_at
         self.state = ProcessState.DEAD
+        self.kernel.note_process_died(self)
         self.died_at = self.kernel.sim.now
         self.exit_reason = reason
         if self.engine is not None:

@@ -23,9 +23,9 @@ of evicting a suspended ``tl``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
 
-from repro.errors import OutOfMemoryError
+from repro.errors import OSModelError, OutOfMemoryError
 from repro.osmodel.config import NodeConfig
 from repro.osmodel.disk import DiskDevice
 from repro.osmodel.pagecache import PageCache
@@ -102,7 +102,7 @@ class VirtualMemoryManager:
         self,
         config: NodeConfig,
         disk: DiskDevice,
-        live_processes: Callable[[], List["OSProcess"]],
+        live_processes: Callable[[], Iterable["OSProcess"]],
         now: Callable[[], float],
     ):
         self.config = config
@@ -113,6 +113,9 @@ class VirtualMemoryManager:
         self.swap = SwapArea(capacity=config.swap_bytes)
         self.reclaim_events = 0
         self.oom_events = 0
+        #: memoised :meth:`headroom` snapshot; ``None`` once any of its
+        #: inputs moved (see :meth:`invalidate_headroom`)
+        self._headroom: Optional[MemoryHeadroom] = None
 
     # -- accounting -----------------------------------------------------------
 
@@ -134,13 +137,29 @@ class VirtualMemoryManager:
         return 1.0 - self.free_ram() / usable
 
     def headroom(self) -> MemoryHeadroom:
-        """Snapshot the node's memory/swap headroom in one pass.
+        """The node's memory/swap headroom snapshot, memoised.
 
-        Batching matters at scale: heartbeat building and the suspend
-        admission gate both need these totals, and a single walk over
-        the (handful of) live processes replaces the per-attempt
-        resident/swap sums the old swap-capacity check performed.
+        Heartbeat building and the suspend admission gate both read
+        these totals, far more often than memory moves, so the one-pass
+        walk over the live processes runs only after
+        :meth:`invalidate_headroom` dropped the previous snapshot.
         """
+        if self._headroom is None:
+            self._headroom = self._compute_headroom()
+        return self._headroom
+
+    def invalidate_headroom(self) -> None:
+        """Drop the memoised headroom snapshot.
+
+        The one invalidation point: every writer of a snapshot input --
+        a live process's resident or swapped bytes, its stopped state,
+        the live set, the page cache and the swap area -- calls this
+        after (or just before) the write.
+        """
+        self._headroom = None
+
+    def _compute_headroom(self) -> MemoryHeadroom:
+        """Walk the live processes once and build a fresh snapshot."""
         running = stopped = stopped_swapped = 0
         stopped_count = 0
         for proc in self._live_processes():
@@ -172,7 +191,14 @@ class VirtualMemoryManager:
         (streaming reads simply bypass it when RAM is tight), so this
         is free of I/O cost.
         """
+        self.invalidate_headroom()
         return self.page_cache.insert(nbytes, room=self.free_ram())
+
+    def drop_cache(self, nbytes: int) -> int:
+        """Drop up to ``nbytes`` of page cache outside reclaim (a
+        corrupted or invalidated cache); returns bytes dropped."""
+        self.invalidate_headroom()
+        return self.page_cache.shrink(nbytes)
 
     # -- reclaim ------------------------------------------------------------------
 
@@ -190,6 +216,8 @@ class VirtualMemoryManager:
         if demand <= 0:
             return result
         self.reclaim_events += 1
+        # Cache shrink and page-out below both move snapshot inputs.
+        self.invalidate_headroom()
 
         demand = self._shrink_cache(demand, result)
         if demand <= 0:
@@ -337,6 +365,7 @@ class VirtualMemoryManager:
         reclaim = self.make_room(proc, nbytes)
         result.reclaim = reclaim
         result.time_cost += reclaim.time_cost * self.config.direct_reclaim_fraction
+        self.invalidate_headroom()
         paged = proc.image.page_in(nbytes, self._now())
         self.swap.page_in(proc.pid, paged)
         cost = self.disk.read_burst_cost(paged)
@@ -351,6 +380,7 @@ class VirtualMemoryManager:
 
     def release_process(self, proc: "OSProcess") -> None:
         """Free all RAM and swap held by a dead process."""
+        self.invalidate_headroom()
         self.swap.release(proc.pid)
         image = proc.image
         image.free(image.virtual, self._now())
@@ -363,3 +393,11 @@ class VirtualMemoryManager:
             raise OutOfMemoryError(
                 f"accounting error: free RAM negative ({self.free_ram()})"
             )
+        held = self._headroom
+        if held is not None:
+            fresh = self._compute_headroom()
+            if held != fresh:
+                raise OSModelError(
+                    f"stale headroom snapshot on {self.config.hostname}: "
+                    f"held {held}, recomputed {fresh}"
+                )

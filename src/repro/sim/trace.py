@@ -70,6 +70,9 @@ class TraceLog:
 
     def record(self, time: float, label: str, **fields: Any) -> None:
         """Append a record (if enabled) and notify subscribers (always)."""
+        if not self.enabled and not self._subscribers:
+            # Nobody would see the record: skip building it.
+            return
         rec = TraceRecord(time, label, fields)
         if self.enabled:
             self._records.append(rec)

@@ -48,6 +48,44 @@ class TestProcessTable:
         kernel.signal(a.pid, Signal.SIGSTOP)
         assert kernel.stopped_processes() == [a]
 
+    def test_dead_process_leaves_live_set_but_stays_in_history(self, kernel):
+        a = kernel.spawn("a")
+        b = kernel.spawn("b")
+        a.exit_normally()
+        assert kernel.live_processes() == [b]
+        assert kernel._processes[a.pid] is a
+        with pytest.raises(NoSuchProcessError):
+            kernel.process(a.pid)
+
+    def test_oom_killed_process_leaves_live_set(self, kernel):
+        a = kernel.spawn("a")
+        b = kernel.spawn("b")
+        kernel.charge_allocation(a, 64 * MB)
+        kernel.oom_kill(a, why="test")
+        assert kernel.live_processes() == [b]
+        assert kernel._processes[a.pid] is a
+        assert kernel.memory_headroom().running_resident == 0
+
+    def test_tracker_shutdown_empties_live_set(self):
+        from repro.workloads.jobspec import JobSpec, TaskSpec
+        from tests.conftest import quick_cluster
+
+        cluster = quick_cluster()
+        cluster.submit_job(JobSpec(name="j", tasks=[
+            TaskSpec(input_bytes=70 * MB, parse_rate=7 * MB, output_bytes=0)
+        ]))
+        cluster.start()
+        cluster.sim.run(until=6.0)
+        kernel = cluster.kernels["node00"]
+        live = kernel.live_processes()
+        assert live
+        cluster.trackers["node00"].shutdown()
+        assert kernel.live_processes() == []
+        for proc in live:
+            assert kernel._processes[proc.pid] is proc
+            assert not proc.alive
+        kernel.check_invariants()
+
 
 class TestAllocationCharge:
     def test_touch_time_linear_in_bytes(self, kernel):
@@ -69,6 +107,31 @@ class TestAllocationCharge:
         freed = kernel.release_memory(proc, 40 * MB)
         assert freed == 40 * MB
         assert proc.image.virtual == 60 * MB
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="release_memory frees swapped image pages but leaves them "
+        "held in the SwapArea until the process dies",
+    )
+    def test_release_memory_returns_swapped_pages(self):
+        kernel = NodeKernel(
+            Simulation(seed=2),
+            NodeConfig(
+                ram_bytes=512 * MB,
+                os_reserved_bytes=0,
+                swap_bytes=512 * MB,
+                page_cache_min_bytes=0,
+                working_set_protect_bytes=16 * MB,
+                hostname="k",
+            ),
+        )
+        a = kernel.spawn("a")
+        kernel.charge_allocation(a, 300 * MB)
+        b = kernel.spawn("b")
+        kernel.charge_allocation(b, 300 * MB)
+        assert a.image.swapped > 0
+        kernel.release_memory(a, a.image.virtual)
+        assert kernel.vmm.swap.swapped_bytes(a.pid) == a.image.swapped == 0
 
     def test_memory_summary_consistent(self, kernel):
         proc = kernel.spawn("p")

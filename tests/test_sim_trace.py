@@ -34,6 +34,38 @@ class TestTraceLog:
         assert len(seen) == 1
         assert seen[0].fields["value"] == 3
 
+    def test_disabled_log_without_subscribers_builds_no_record(self, monkeypatch):
+        import repro.sim.trace as trace_module
+
+        built = []
+
+        def counting_record(*args):
+            built.append(args)
+            return TraceRecord(*args)
+
+        monkeypatch.setattr(trace_module, "TraceRecord", counting_record)
+        log = TraceLog(enabled=False)
+        log.record(1.0, "x", value=1)
+        assert len(log) == 0
+        assert built == []
+
+    def test_late_subscriber_receives_every_later_record(self):
+        log = TraceLog(enabled=False)
+        log.record(1.0, "before")
+        seen = []
+        log.subscribe(seen.append)
+        for i in range(3):
+            log.record(2.0 + i, f"after{i}", index=i)
+        assert [r.label for r in seen] == ["after0", "after1", "after2"]
+        assert [r.fields["index"] for r in seen] == [0, 1, 2]
+        assert len(log) == 0
+
+    def test_enabled_log_without_subscribers_stores_every_record(self):
+        log = TraceLog()
+        for i in range(4):
+            log.record(float(i), f"e{i}")
+        assert [r.label for r in log] == ["e0", "e1", "e2", "e3"]
+
     def test_capacity_keeps_latest(self):
         log = TraceLog(capacity=3)
         for i in range(6):

@@ -124,6 +124,51 @@ class TestHeartbeats:
         assert all(not s.state.terminal for s in report.attempts)
 
 
+class TestActionDelivery:
+    """Directives ride one RPC hop; an empty response rides nothing."""
+
+    @staticmethod
+    def _heartbeat_with(actions):
+        from repro.hadoop.heartbeat import HeartbeatResponse
+
+        cluster = quick_cluster()
+        cluster.start()
+        cluster.sim.run(until=2.5)
+        tracker = cluster.trackers["node00"]
+        tracker._heartbeat_event.cancel()
+        cluster.jobtracker.heartbeat = (
+            lambda report: HeartbeatResponse(report.sequence, list(actions))
+        )
+        before = cluster.sim.events_scheduled
+        tracker._heartbeat()
+        return cluster, cluster.sim.events_scheduled - before
+
+    def test_empty_response_schedules_no_rpc_event(self):
+        cluster, scheduled = self._heartbeat_with([])
+        # Only the next periodic heartbeat is armed.
+        assert scheduled == 1
+        fired_from = cluster.sim.events_fired
+        cluster.sim.run(until=cluster.sim.now + 0.5)
+        assert not cluster.sim.trace_log.find("tt.actions")
+        assert cluster.sim.events_fired == fired_from
+
+    def test_non_empty_response_schedules_one_rpc_event(self):
+        from repro.hadoop.heartbeat import KillTaskAction
+
+        cluster, scheduled = self._heartbeat_with(
+            [KillTaskAction(attempt_id="attempt_none", reason="test")]
+        )
+        # The directives' RPC hop plus the next periodic heartbeat.
+        assert scheduled == 2
+        start = cluster.sim.now
+        cluster.sim.run(until=start + 0.5)
+        delivered = cluster.sim.trace_log.find("tt.actions:node00")
+        assert len(delivered) == 1
+        assert delivered[0].time == pytest.approx(
+            start + cluster.hadoop_config.rpc_latency
+        )
+
+
 class TestMultiSlot:
     def test_parallel_tasks_on_two_slots(self):
         cluster = quick_cluster(map_slots=2)
